@@ -24,7 +24,7 @@ pub struct BenchCli {
     pub no_cache: bool,
     /// Cache directory (`--cache-dir PATH`, default `target/bench-cache`).
     pub cache_dir: PathBuf,
-    /// Figure subset (`--figs fig3,fig7`); `None` = the binary's default.
+    /// Figure subset (`--figs fig3,fig7`); `None` = every figure.
     pub figs: Option<Vec<String>>,
     /// Run a declarative scenario spec file (`--scenario PATH`) through
     /// the cached runner instead of registry figures.
@@ -193,7 +193,7 @@ FLAGS:
     --cache-dir PATH     Result cache location
                          (default: target/bench-cache)
     --figs a,b           Run only these figures (registry names, e.g.
-                         fig3,fig7); binaries tied to one figure ignore it
+                         fig3,fig7; default: every figure)
     --scenario PATH      Run a declarative scenario spec file (see
                          EXPERIMENTS.md for the format) through the cached
                          runner instead of registry figures

@@ -1,28 +1,23 @@
-//! The shared driver behind every bench binary: resolve the requested
+//! The driver behind the `bench` binary: resolve the requested
 //! figures from the registry, expand them into one job batch, run it
 //! through the cached parallel runner, reduce per figure, print the
 //! tables, and (with `--json`) write the schema-versioned
 //! `BENCH_<fig>_<scale>.json` report.
 
 use crate::cli::BenchCli;
-use crate::figures::common::run_metrics;
+use crate::figures::common::{run_metrics, Fold, PERF};
 use crate::figures::{by_name, registry, Figure, FigureReport};
 use crate::json::Json;
 use crate::runner::{run_jobs, Job, JobOutcome, RunSummary, CACHE_SCHEMA_VERSION};
 use rlb_net::ScenarioSpec;
 use std::path::Path;
 
-/// Resolve the figure list: `--figs` wins, then the binary's default
-/// subset, then the whole registry. Unknown names are an error listing
-/// what exists.
-pub fn resolve_figures(
-    cli: &BenchCli,
-    default_figs: Option<&[&str]>,
-) -> Result<Vec<&'static dyn Figure>, String> {
-    let names: Vec<String> = match (&cli.figs, default_figs) {
-        (Some(figs), _) => figs.clone(),
-        (None, Some(defaults)) => defaults.iter().map(|s| s.to_string()).collect(),
-        (None, None) => registry().iter().map(|f| f.name().to_string()).collect(),
+/// Resolve the figure list: `--figs` if given, else the whole registry.
+/// Unknown names are an error listing what exists.
+pub fn resolve_figures(cli: &BenchCli) -> Result<Vec<&'static dyn Figure>, String> {
+    let names: Vec<String> = match &cli.figs {
+        Some(figs) => figs.clone(),
+        None => registry().iter().map(|f| f.name().to_string()).collect(),
     };
     names
         .iter()
@@ -44,15 +39,12 @@ pub fn resolve_figures(
 /// Run the figures selected by `cli` end to end. Returns the per-figure
 /// reports (in run order) alongside the batch summary, after printing
 /// tables and writing the JSON report if requested.
-pub fn drive(
-    cli: &BenchCli,
-    default_figs: Option<&[&str]>,
-) -> Result<Vec<(&'static dyn Figure, FigureReport)>, String> {
+pub fn drive(cli: &BenchCli) -> Result<Vec<(&'static dyn Figure, FigureReport)>, String> {
     if let Some(path) = cli.scenario.clone() {
         drive_scenario(cli, &path)?;
         return Ok(Vec::new());
     }
-    let figures = resolve_figures(cli, default_figs)?;
+    let figures = resolve_figures(cli)?;
     let offsets = cli.seed_offsets();
 
     // One flat batch: the runner interleaves jobs from all figures across
@@ -204,80 +196,49 @@ fn point_json(o: &JobOutcome, stable: bool) -> Json {
     p
 }
 
-/// Aggregate the per-job `perf` blocks into the report-level summary:
-/// total events dispatched, total in-simulation wall time, and the batch
-/// events/sec rate. Cached jobs contribute the numbers recorded when they
-/// originally executed, so the rate describes simulator speed rather than
-/// cache luck; jobs_executed / jobs_cached disambiguate.
+/// Aggregate the per-job `perf` blocks into the report-level summary by
+/// folding each [`PERF`] key as the listing says: totals, peaks, and the
+/// batch events/sec rate. Cached jobs contribute the numbers recorded when
+/// they originally executed, so the rate describes simulator speed rather
+/// than cache luck; jobs_executed / jobs_cached disambiguate.
 fn perf_aggregate(summary: &RunSummary) -> Json {
-    let mut events_total: u64 = 0;
-    let mut sim_wall_ms: f64 = 0.0;
-    let mut decisions: u64 = 0;
-    let mut reuses: u64 = 0;
-    let mut refreshes: u64 = 0;
-    let mut rebuilds: u64 = 0;
-    let mut dirty_q: u64 = 0;
-    let mut dirty_sig: u64 = 0;
-    let mut arena_high_water: u64 = 0;
-    let mut arena_capacity: u64 = 0;
-    let mut shards_max: u64 = 0;
-    let mut window_advances: u64 = 0;
-    let mut cross_msgs: u64 = 0;
-    let mut barrier_stalls: u64 = 0;
-    let mut aggregate_rate_max: f64 = 0.0;
-    let take = |p: &Json, k: &str| p.get(k).and_then(Json::as_u64).unwrap_or(0);
-    for o in &summary.outcomes {
-        if let Some(p) = o.metrics.get("perf") {
-            events_total += take(p, "events_processed");
-            sim_wall_ms += p.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0);
-            decisions += take(p, "decisions");
-            reuses += take(p, "snapshot_reuses");
-            refreshes += take(p, "snapshot_refreshes");
-            rebuilds += take(p, "snapshot_rebuilds");
-            dirty_q += take(p, "snapshot_dirty_queue_spines");
-            dirty_sig += take(p, "snapshot_dirty_sig_spines");
-            // Occupancy peaks don't sum across independent runs; report
-            // the worst job in the batch.
-            arena_high_water = arena_high_water.max(take(p, "arena_high_water"));
-            arena_capacity = arena_capacity.max(take(p, "arena_capacity"));
-            shards_max = shards_max.max(take(p, "shards"));
-            window_advances += take(p, "window_advances");
-            cross_msgs += take(p, "cross_shard_messages");
-            barrier_stalls += take(p, "barrier_stalls");
-            // A rate, not a count: report the best job in the batch (the
-            // perf-smoke CI gate reads this as the fleet's peak throughput).
-            aggregate_rate_max = aggregate_rate_max.max(
-                p.get("aggregate_events_per_sec")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-            );
+    let blocks: Vec<&Json> = summary
+        .outcomes
+        .iter()
+        .filter_map(|o| o.metrics.get("perf"))
+        .collect();
+    let values = |key: &'static str| blocks.iter().filter_map(move |p| p.get(key));
+    let mut out = Json::Obj(Vec::new());
+    for (key, _, fold) in PERF {
+        match fold {
+            // Counters stay exact u64 sums; the wall-time sum is a float.
+            Fold::Sum(name) => out.set(
+                name,
+                values(key).fold(Json::U64(0), |acc, v| match (acc, v) {
+                    (Json::U64(a), Json::U64(b)) => Json::U64(a + b),
+                    (acc, v) => Json::F64(acc.as_f64().unwrap_or(0.0) + v.as_f64().unwrap_or(0.0)),
+                }),
+            ),
+            Fold::Max(name) => out.set(
+                name,
+                Json::U64(values(key).filter_map(Json::as_u64).max().unwrap_or(0)),
+            ),
+            Fold::Rate => {
+                let total = |k| out.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+                let (events, wall_ms) =
+                    (total("events_processed_total"), total("sim_wall_ms_total"));
+                let rate = if wall_ms > 0.0 {
+                    events / (wall_ms / 1e3)
+                } else {
+                    0.0
+                };
+                out.set(key, Json::F64(rate));
+            }
         }
     }
-    let rate = if sim_wall_ms > 0.0 {
-        events_total as f64 / (sim_wall_ms / 1e3)
-    } else {
-        0.0
-    };
-    Json::obj([
-        ("events_processed_total", Json::U64(events_total)),
-        ("sim_wall_ms_total", Json::F64(sim_wall_ms)),
-        ("events_per_sec", Json::F64(rate)),
-        ("decisions_total", Json::U64(decisions)),
-        ("snapshot_reuses_total", Json::U64(reuses)),
-        ("snapshot_refreshes_total", Json::U64(refreshes)),
-        ("snapshot_rebuilds_total", Json::U64(rebuilds)),
-        ("snapshot_dirty_queue_spines_total", Json::U64(dirty_q)),
-        ("snapshot_dirty_sig_spines_total", Json::U64(dirty_sig)),
-        ("arena_high_water_max", Json::U64(arena_high_water)),
-        ("arena_capacity_max", Json::U64(arena_capacity)),
-        ("shards_max", Json::U64(shards_max)),
-        ("window_advances_total", Json::U64(window_advances)),
-        ("cross_shard_messages_total", Json::U64(cross_msgs)),
-        ("barrier_stalls_total", Json::U64(barrier_stalls)),
-        ("aggregate_events_per_sec_max", Json::F64(aggregate_rate_max)),
-        ("jobs_executed", Json::U64(summary.executed as u64)),
-        ("jobs_cached", Json::U64(summary.cache_hits as u64)),
-    ])
+    out.set("jobs_executed", Json::U64(summary.executed as u64));
+    out.set("jobs_cached", Json::U64(summary.cache_hits as u64));
+    out
 }
 
 /// The schema-versioned report object. With `--stable-json`, wall-clock
@@ -348,9 +309,13 @@ mod tests {
     #[test]
     fn resolves_defaults_and_rejects_unknown() {
         let cli = BenchCli::default();
-        let all = resolve_figures(&cli, None).expect("all figures");
+        let all = resolve_figures(&cli).expect("all figures");
         assert_eq!(all.len(), registry().len());
-        let subset = resolve_figures(&cli, Some(&["fig6"])).expect("subset");
+        let cli = BenchCli {
+            figs: Some(vec!["fig6".into()]),
+            ..BenchCli::default()
+        };
+        let subset = resolve_figures(&cli).expect("subset");
         assert_eq!(subset.len(), 1);
         assert_eq!(subset[0].name(), "fig6");
 
@@ -358,7 +323,7 @@ mod tests {
             figs: Some(vec!["fig3".into(), "nope".into()]),
             ..BenchCli::default()
         };
-        let err = match resolve_figures(&cli, None) {
+        let err = match resolve_figures(&cli) {
             Err(e) => e,
             Ok(_) => panic!("unknown figure must be rejected"),
         };
@@ -366,14 +331,61 @@ mod tests {
     }
 
     #[test]
-    fn figs_flag_overrides_binary_default() {
-        let cli = BenchCli {
-            figs: Some(vec!["fig9".into()]),
-            ..BenchCli::default()
+    fn perf_aggregate_keeps_key_names_and_order() {
+        let point = |n: u64| JobOutcome {
+            fig: "fig3",
+            label: "x".into(),
+            seed: n,
+            key_hex: "00".into(),
+            metrics: Json::obj([(
+                "perf",
+                Json::Obj(
+                    PERF.iter()
+                        .map(|(k, _, _)| (k.to_string(), Json::U64(n)))
+                        .collect(),
+                ),
+            )]),
+            wall_ms: 0.0,
+            cached: false,
         };
-        let figs = resolve_figures(&cli, Some(&["fig3"])).expect("override");
-        assert_eq!(figs.len(), 1);
-        assert_eq!(figs[0].name(), "fig9");
+        let summary = RunSummary {
+            outcomes: vec![point(1), point(2)],
+            cache_hits: 0,
+            executed: 2,
+            total_wall_ms: 0.0,
+        };
+        let agg = perf_aggregate(&summary);
+        let Json::Obj(members) = &agg else {
+            panic!("aggregate must be an object")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "events_processed_total",
+                "sim_wall_ms_total",
+                "events_per_sec",
+                "decisions_total",
+                "snapshot_reuses_total",
+                "snapshot_refreshes_total",
+                "snapshot_rebuilds_total",
+                "snapshot_dirty_queue_spines_total",
+                "snapshot_dirty_sig_spines_total",
+                "arena_high_water_max",
+                "arena_capacity_max",
+                "shards_max",
+                "window_advances_total",
+                "cross_shard_messages_total",
+                "barrier_stalls_total",
+                "jobs_executed",
+                "jobs_cached",
+            ]
+        );
+        let num = |k| agg.get(k).and_then(Json::as_f64).expect(k);
+        assert_eq!(num("decisions_total").to_bits(), 3f64.to_bits());
+        assert_eq!(num("shards_max").to_bits(), 2f64.to_bits());
+        // 3 events over 3 ms of loop time.
+        assert!((num("events_per_sec") - 1000.0).abs() < 1e-9);
     }
 
     #[test]

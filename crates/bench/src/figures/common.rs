@@ -6,6 +6,7 @@ use rlb_core::RlbConfig;
 use rlb_lb::Scheme;
 use rlb_metrics::{FabricCounters, FctSummary, FlowRecord};
 use rlb_net::scenario::{Scenario, BACKGROUND_GROUP};
+use rlb_net::sim::PerfStats;
 use rlb_net::RunResult;
 use rlb_workloads::Workload;
 
@@ -60,33 +61,10 @@ pub struct RunRow {
     pub fct_cdf: Vec<(f64, f64)>,
     /// Events dispatched by the engine during this run.
     pub events_processed: u64,
-    /// Wall-clock cost of the run, ms (measurement only — never feeds back
-    /// into the simulation, and `--stable-json` strips it from reports).
-    pub wall_ms: f64,
-    /// Engine throughput, events per wall-clock second.
-    pub events_per_sec: f64,
-    /// Source-leaf LB decisions and how their path snapshots were served
-    /// (cache reuse / in-place refresh / full rebuild).
-    pub decisions: u64,
-    pub snapshot_reuses: u64,
-    pub snapshot_refreshes: u64,
-    pub snapshot_rebuilds: u64,
-    /// Dirty-spine split of the refresh work (queue-side / signal-side).
-    pub snapshot_dirty_queue_spines: u64,
-    pub snapshot_dirty_sig_spines: u64,
-    /// Packet-arena occupancy telemetry: peak live packets and slots ever
-    /// allocated (backing-store footprint).
-    pub arena_high_water: u64,
-    pub arena_capacity: u64,
-    /// Sharded-driver telemetry (all zero except `shards`=1 when the run
-    /// was sequential): shard count, bounded-window rounds, cross-shard
-    /// wire messages, zero-dispatch (shard, round) pairs, and the sum of
-    /// per-shard dispatch throughputs over time spent dispatching.
-    pub shards: u64,
-    pub window_advances: u64,
-    pub cross_shard_messages: u64,
-    pub barrier_stalls: u64,
-    pub aggregate_events_per_sec: f64,
+    /// Wall-clock and hot-path telemetry (measurement only — never feeds
+    /// back into the simulation, and `--stable-json` strips it from
+    /// reports).
+    pub perf: PerfStats,
 }
 
 pub fn reduce(label: String, res: RunResult) -> RunRow {
@@ -118,21 +96,7 @@ pub fn reduce(label: String, res: RunResult) -> RunRow {
         mean_group_completion_ms: mean_group,
         fct_cdf: cdf,
         events_processed: res.events_processed,
-        wall_ms: res.perf.wall_ms,
-        events_per_sec: res.perf.events_per_sec,
-        decisions: res.perf.decisions,
-        snapshot_reuses: res.perf.snapshot_reuses,
-        snapshot_refreshes: res.perf.snapshot_refreshes,
-        snapshot_rebuilds: res.perf.snapshot_rebuilds,
-        snapshot_dirty_queue_spines: res.perf.snapshot_dirty_queue_spines,
-        snapshot_dirty_sig_spines: res.perf.snapshot_dirty_sig_spines,
-        arena_high_water: res.perf.arena_high_water,
-        arena_capacity: res.perf.arena_capacity,
-        shards: res.perf.shards,
-        window_advances: res.perf.window_advances,
-        cross_shard_messages: res.perf.cross_shard_messages,
-        barrier_stalls: res.perf.barrier_stalls,
-        aggregate_events_per_sec: res.perf.aggregate_events_per_sec,
+        perf: res.perf,
     }
 }
 
@@ -195,6 +159,43 @@ fn counters_json(c: &FabricCounters) -> Json {
     ])
 }
 
+/// How the report-level `perf` aggregate folds one per-point key over a
+/// batch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fold {
+    /// Sum over points, reported under the given key.
+    Sum(&'static str),
+    /// The largest point, reported under the given key: peaks and shard
+    /// counts do not add across independent runs.
+    Max(&'static str),
+    /// The batch rate: summed events over summed in-loop wall time.
+    Rate,
+}
+
+/// A perf block entry: key, value from a finished run, and fold.
+pub(crate) type PerfKey = (&'static str, fn(&RunRow) -> Json, Fold);
+
+/// The per-point `perf` block, in report order. `drive::build_report`
+/// folds the same keys, in the same order, into the report aggregate.
+#[rustfmt::skip]
+pub(crate) const PERF: [PerfKey; 15] = [
+    ("events_processed", |r| Json::U64(r.events_processed), Fold::Sum("events_processed_total")),
+    ("wall_ms", |r| Json::F64(r.perf.wall_ms), Fold::Sum("sim_wall_ms_total")),
+    ("events_per_sec", |r| Json::F64(r.perf.events_per_sec), Fold::Rate),
+    ("decisions", |r| Json::U64(r.perf.decisions), Fold::Sum("decisions_total")),
+    ("snapshot_reuses", |r| Json::U64(r.perf.snapshot_reuses), Fold::Sum("snapshot_reuses_total")),
+    ("snapshot_refreshes", |r| Json::U64(r.perf.snapshot_refreshes), Fold::Sum("snapshot_refreshes_total")),
+    ("snapshot_rebuilds", |r| Json::U64(r.perf.snapshot_rebuilds), Fold::Sum("snapshot_rebuilds_total")),
+    ("snapshot_dirty_queue_spines", |r| Json::U64(r.perf.snapshot_dirty_queue_spines), Fold::Sum("snapshot_dirty_queue_spines_total")),
+    ("snapshot_dirty_sig_spines", |r| Json::U64(r.perf.snapshot_dirty_sig_spines), Fold::Sum("snapshot_dirty_sig_spines_total")),
+    ("arena_high_water", |r| Json::U64(r.perf.arena_high_water), Fold::Max("arena_high_water_max")),
+    ("arena_capacity", |r| Json::U64(r.perf.arena_capacity), Fold::Max("arena_capacity_max")),
+    ("shards", |r| Json::U64(r.perf.shards), Fold::Max("shards_max")),
+    ("window_advances", |r| Json::U64(r.perf.window_advances), Fold::Sum("window_advances_total")),
+    ("cross_shard_messages", |r| Json::U64(r.perf.cross_shard_messages), Fold::Sum("cross_shard_messages_total")),
+    ("barrier_stalls", |r| Json::U64(r.perf.barrier_stalls), Fold::Sum("barrier_stalls_total")),
+];
+
 /// The standard metrics object every runner job produces: figure-specific
 /// `extras` first (sweep coordinates — scheme, x, load, ...), then the
 /// full FCT summaries (all flows and measured background flows), fabric
@@ -246,33 +247,11 @@ pub fn run_metrics(
     // the block is removed as a unit to keep the stable schema minimal).
     m.set(
         "perf",
-        Json::obj([
-            ("events_processed", Json::U64(row.events_processed)),
-            ("wall_ms", Json::F64(row.wall_ms)),
-            ("events_per_sec", Json::F64(row.events_per_sec)),
-            ("decisions", Json::U64(row.decisions)),
-            ("snapshot_reuses", Json::U64(row.snapshot_reuses)),
-            ("snapshot_refreshes", Json::U64(row.snapshot_refreshes)),
-            ("snapshot_rebuilds", Json::U64(row.snapshot_rebuilds)),
-            (
-                "snapshot_dirty_queue_spines",
-                Json::U64(row.snapshot_dirty_queue_spines),
-            ),
-            (
-                "snapshot_dirty_sig_spines",
-                Json::U64(row.snapshot_dirty_sig_spines),
-            ),
-            ("arena_high_water", Json::U64(row.arena_high_water)),
-            ("arena_capacity", Json::U64(row.arena_capacity)),
-            ("shards", Json::U64(row.shards)),
-            ("window_advances", Json::U64(row.window_advances)),
-            ("cross_shard_messages", Json::U64(row.cross_shard_messages)),
-            ("barrier_stalls", Json::U64(row.barrier_stalls)),
-            (
-                "aggregate_events_per_sec",
-                Json::F64(row.aggregate_events_per_sec),
-            ),
-        ]),
+        Json::Obj(
+            PERF.iter()
+                .map(|(key, value, _)| (key.to_string(), value(&row)))
+                .collect(),
+        ),
     );
     m
 }

@@ -4,9 +4,9 @@
 //! Each figure describes itself as a set of [`Job`]s — one per (variant,
 //! sweep point, seed) — and a `reduce` step that folds the jobs' metrics
 //! back into the figure's rows and rendered tables. The runner
-//! (`crate::runner`) executes any job set in parallel with caching; the
-//! binaries and `crate::drive` never hand-match on figure names — they go
-//! through [`registry`].
+//! (`crate::runner`) executes any job set in parallel with caching;
+//! `crate::drive` never hand-matches on figure names — it goes through
+//! [`registry`].
 
 pub mod common;
 pub mod fig10;
@@ -56,8 +56,8 @@ pub trait Figure: Sync {
 }
 
 /// Every figure, in paper order, then the extras the paper never ran
-/// (`fig_fail`). The single source of truth driving `all_figs`, the
-/// per-figure binaries, and `--figs` filtering.
+/// (`fig_fail`). The single source of truth behind `bench` and its
+/// `--figs` filter.
 pub fn registry() -> &'static [&'static dyn Figure] {
     &[
         &fig3::Fig3,

@@ -1,9 +1,8 @@
 //! Minimal JSON tree: deterministic writer + parser for the runner's
 //! result cache and `BENCH_*.json` reports.
 //!
-//! The vendored `serde` is an API-subset stub whose derives emit no impls
-//! (see `vendor/serde`), so the harness carries its own value type. Design
-//! constraints, in order:
+//! The workspace builds offline with no serialization crate, so the
+//! harness carries its own value type. Design constraints, in order:
 //!
 //! 1. **Byte determinism** — object members keep insertion order (no
 //!    hashing anywhere), floats print via Rust's shortest-roundtrip

@@ -47,7 +47,8 @@ use std::time::Instant;
 /// v6: the perf block gained the sharded-driver counters (shards,
 /// window_advances, cross_shard_messages, barrier_stalls,
 /// aggregate_events_per_sec) and every job spec gained the shards field.
-pub const CACHE_SCHEMA_VERSION: u32 = 6;
+/// v7: the perf block lost the busy-time aggregate_events_per_sec.
+pub const CACHE_SCHEMA_VERSION: u32 = 7;
 
 /// FNV-1a 64-bit — small, dependency-free, stable across platforms.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {

@@ -2,8 +2,8 @@
 //!
 //! Each simulation run is single-threaded and deterministic; sweeps over
 //! loads / degrees / schemes are embarrassingly parallel, so we fan the
-//! points out over crossbeam scoped threads (a shared work queue, capped
-//! at the CPU count or an explicit thread budget).
+//! points out over `std::thread::scope` workers (a shared work queue,
+//! capped at the CPU count or an explicit thread budget).
 //!
 //! Worker panics are caught per job: a panicking point is reported with
 //! its index and label (not a bare poisoned-mutex panic from an unrelated
@@ -11,7 +11,6 @@
 //! order, so a 96-point sweep doesn't discard 95 finished simulations
 //! because one configuration hit a bug.
 
-use crossbeam::thread;
 use std::panic::AssertUnwindSafe;
 
 /// One failed sweep point.
@@ -95,9 +94,9 @@ where
     let slots: Vec<std::sync::Mutex<&mut Option<O>>> =
         results.iter_mut().map(std::sync::Mutex::new).collect();
     let failures: std::sync::Mutex<Vec<JobFailure>> = std::sync::Mutex::new(Vec::new());
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..max_threads.min(n) {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 // These locks only guard push/pop — no user code runs while
                 // they are held, and job panics are caught below, so the
                 // mutexes cannot be poisoned.
@@ -122,8 +121,7 @@ where
                 }
             });
         }
-    })
-    .expect("sweep workers never propagate panics");
+    });
     drop(slots);
     let mut failures = failures.into_inner().expect("failure lock");
     if failures.is_empty() {
@@ -140,53 +138,47 @@ where
     }
 }
 
-/// Run `f` over every item of `inputs` in parallel, preserving order.
-///
-/// Panics if any job panicked, naming each failing job's index — callers
-/// with richer labels or a need to salvage partial results should use
-/// [`try_parallel_map`].
-pub fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    match try_parallel_map(inputs, None, |i, _| format!("#{i}"), f) {
-        Ok(out) => out,
-        Err(err) => panic!("{err}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn label(i: usize, _: &impl Sized) -> String {
+        format!("#{i}")
+    }
+
     #[test]
     fn preserves_order_and_completeness() {
-        let out = parallel_map((0..100).collect(), |x: i32| x * x);
+        let out =
+            try_parallel_map((0..100).collect(), None, label, |x: i32| x * x).expect("no failures");
         assert_eq!(out, (0..100).map(|x| x * x).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |x| x);
+        let out = try_parallel_map(Vec::<i32>::new(), None, label, |x| x).expect("no failures");
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_item() {
-        assert_eq!(parallel_map(vec![7], |x: u64| x + 1), vec![8]);
+        let out = try_parallel_map(vec![7], None, label, |x: u64| x + 1).expect("no failures");
+        assert_eq!(out, vec![8]);
     }
 
     #[test]
-    #[should_panic(expected = "sweep job(s) panicked")]
-    fn worker_panic_propagates() {
-        parallel_map(vec![1, 2, 3], |x: i32| {
+    fn worker_panic_is_reported() {
+        let err = try_parallel_map(vec![1, 2, 3], None, label, |x: i32| {
             if x == 2 {
                 panic!("boom");
             }
             x
-        });
+        })
+        .expect_err("job 1 must fail");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("sweep job(s) panicked") && msg.contains("boom"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! RLB configuration (§3.2).
 
-use serde::{Deserialize, Serialize};
-
 /// How Algorithm 1 picks the suboptimal path `ps` among the unwarned
 /// candidates whose delay is not below the warned path's (see
 /// `reroute::algorithm1` for why faster candidates are avoided).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuboptimalPolicy {
     /// Shortest local queue first (RTT breaking ties). Disperses herds:
     /// queues react instantly when many flows reroute at once. Default.
@@ -16,7 +14,7 @@ pub enum SuboptimalPolicy {
     RttFirst,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RlbConfig {
     /// Queue-derivative sampling interval Δt (§3.2.1). Paper default: the
     /// link delay, 2 µs. Fig. 10(b) sweeps 2–5 µs.

@@ -18,9 +18,7 @@
 //! Qth or shrinking), which lets the switch stop refreshing warnings so
 //! they expire upstream.
 
-use serde::Serialize;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Prediction {
     /// PFC is predicted to trigger within the horizon: emit/refresh a CNM.
     Warn,
@@ -29,7 +27,7 @@ pub enum Prediction {
 }
 
 /// Per-ingress-port PFC predictor state.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PfcPredictor {
     qth_bytes: u64,
     q_pfc_bytes: u64,

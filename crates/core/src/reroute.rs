@@ -4,7 +4,6 @@
 use crate::config::RlbConfig;
 use rlb_engine::FlowTable;
 use rlb_lb::{Ctx, LoadBalancer, PathIdx};
-use serde::Serialize;
 
 /// RLB's verdict for one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,7 +16,7 @@ pub enum Decision {
 }
 
 /// Why the decision came out the way it did (diagnostics / counters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionReason {
     /// Initial path carried no warning.
     UnwarnedInitial,
@@ -34,7 +33,7 @@ pub enum DecisionReason {
 }
 
 /// Aggregate decision counters.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RlbStats {
     pub forwards_unwarned: u64,
     pub reroutes: u64,

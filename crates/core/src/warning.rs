@@ -2,14 +2,12 @@
 //! recent-contributor table used to relay CNMs hop-by-hop (§3.2.1,
 //! "Sending PFC warning").
 
-use serde::Serialize;
-
 /// A congestion notification message carrying a PFC warning upstream.
 ///
 /// The paper reuses the QCN CNM format, filling "the identification number
 /// of the ingress port that is predicted to trigger PFC" into the QCN
 /// field; switches relay it hop-by-hop toward traffic sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cnm {
     /// Switch at which PFC is predicted to trigger.
     pub origin_node: u32,

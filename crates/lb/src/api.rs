@@ -12,10 +12,8 @@
 //! `rlb-core`'s rerouting module — that separation is the paper's whole
 //! point (§2.2: existing schemes cannot perceive PFC pausing).
 
-use serde::Serialize;
-
 /// Per-candidate-path state snapshot presented to a scheme.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PathInfo {
     /// Bytes queued in the local egress queue of this uplink.
     pub queue_bytes: u64,
@@ -45,14 +43,6 @@ impl Default for PathInfo {
             ecn_fraction: 0.0,
             link_rate_bps: 40e9,
         }
-    }
-}
-
-impl PathInfo {
-    /// A neutral default for tests: empty queue, 10 µs RTT, clean path.
-    #[deprecated(since = "0.1.0", note = "use `PathInfo::default()`")]
-    pub fn idle() -> PathInfo {
-        PathInfo::default()
     }
 }
 
@@ -91,7 +81,7 @@ pub trait LoadBalancer: Send {
 }
 
 /// Identifier for constructing schemes from experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     Ecmp,
     Presto,
@@ -133,16 +123,5 @@ mod tests {
         let p = PathInfo::default();
         assert!(!p.paused && !p.warned);
         assert_eq!(p.queue_bytes, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn idle_alias_matches_default() {
-        let a = PathInfo::idle();
-        let d = PathInfo::default();
-        assert_eq!(a.queue_bytes, d.queue_bytes);
-        assert_eq!((a.paused, a.warned), (d.paused, d.warned));
-        assert_eq!(a.rtt_ns.to_bits(), d.rtt_ns.to_bits());
-        assert_eq!(a.link_rate_bps.to_bits(), d.link_rate_bps.to_bits());
     }
 }

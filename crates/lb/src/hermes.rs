@@ -15,9 +15,8 @@
 use crate::api::{Ctx, LoadBalancer, PathIdx, PathInfo};
 use rand::Rng;
 use rlb_engine::{FlowTable, SimRng};
-use serde::Serialize;
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HermesConfig {
     /// Uncongested fabric round-trip, ns.
     pub base_rtt_ns: f64,

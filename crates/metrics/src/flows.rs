@@ -1,10 +1,9 @@
 //! Per-flow records and the flow-completion-time summaries the paper plots.
 
 use crate::stats::{mean, percentile};
-use serde::Serialize;
 
 /// Everything measured about one flow over its lifetime.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FlowRecord {
     pub flow_id: u64,
     pub src_host: u32,
@@ -72,7 +71,7 @@ pub fn slowdown_summary(
 }
 
 /// Aggregate FCT statistics over a set of completed flows.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FctSummary {
     pub flows_total: usize,
     pub flows_completed: usize,

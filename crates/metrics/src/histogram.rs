@@ -1,15 +1,13 @@
 //! Fixed-bucket and log-bucket histograms for high-volume counters (OOD,
 //! queue lengths) where keeping every sample would be wasteful.
 
-use serde::Serialize;
-
 /// Power-of-two log-bucketed histogram of `u64` values.
 ///
 /// Bucket `i` holds values in `[2^(i-1), 2^i)`, bucket 0 holds the value 0
 /// and 1 (i.e. values < 2). Gives exact counts with ~64 buckets and supports
 /// approximate quantiles (upper bound of the containing bucket), which is
 /// plenty for the out-of-order-degree distributions in Fig. 3b.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
     buckets: Vec<u64>,
     count: u64,

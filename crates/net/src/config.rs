@@ -4,10 +4,9 @@ use rlb_core::RlbConfig;
 use rlb_engine::{SimDuration, SimTime};
 use rlb_lb::Scheme;
 use rlb_transport::DcqcnConfig;
-use serde::{Deserialize, Serialize};
 
 /// Leaf–spine fabric shape and link properties.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopoConfig {
     pub n_leaves: u32,
     pub n_spines: u32,
@@ -95,6 +94,20 @@ impl TopoConfig {
         if self.link_rate_bps == 0 || self.host_link_rate_bps == 0 {
             return Err("link rates must be positive".into());
         }
+        // The sharded driver's lookahead window is one link delay.
+        if self.link_delay_ps == 0 {
+            return Err("link delay must be positive".into());
+        }
+        // Port indices are u16: a leaf has one port per host plus one per
+        // spine, a spine one per leaf.
+        let leaf_ports = self.hosts_per_leaf as u64 + self.n_spines as u64;
+        let most_ports = leaf_ports.max(self.n_leaves as u64);
+        if most_ports > u16::MAX as u64 {
+            return Err(format!(
+                "a switch would have {most_ports} ports; at most {} fit",
+                u16::MAX
+            ));
+        }
         for &(l, s) in &self.degraded_links {
             if l >= self.n_leaves || s >= self.n_spines {
                 return Err(format!("degraded link ({l},{s}) out of range"));
@@ -105,7 +118,7 @@ impl TopoConfig {
 }
 
 /// ECN marking at egress queues (DCQCN's congestion point).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EcnConfig {
     pub kmin_bytes: u64,
     pub kmax_bytes: u64,
@@ -126,7 +139,7 @@ impl Default for EcnConfig {
 }
 
 /// Shared-buffer PFC switch parameters (Fig. 1's architecture).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SwitchConfig {
     /// Shared memory pool. Paper: 9 MB.
     pub buffer_bytes: u64,
@@ -159,7 +172,7 @@ impl Default for SwitchConfig {
 }
 
 /// Host / NIC transport parameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TransportConfig {
     pub dcqcn: DcqcnConfig,
     /// Reliable-delivery scheme at the NICs (go-back-N is the paper's
@@ -189,7 +202,7 @@ impl Default for TransportConfig {
 }
 
 /// Everything one simulation run needs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     pub topo: TopoConfig,
     pub switch: SwitchConfig,

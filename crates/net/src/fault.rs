@@ -23,13 +23,12 @@
 
 use crate::config::TopoConfig;
 use rlb_engine::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// One fault kind. All variants are idempotent: downing a downed link or
 /// restoring a healthy one is a no-op (beyond counting as applied), so
 /// overlapping timelines (e.g. a spine failure spanning a link flap) need no
 /// reference counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Take the bidirectional `leaf <-> spine` link down. In-flight packets
     /// still deliver (they are already on the wire); queued packets freeze.
@@ -53,7 +52,7 @@ pub enum Fault {
 }
 
 /// A fault bound to the instant it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedFault {
     pub at: SimTime,
     pub fault: Fault,

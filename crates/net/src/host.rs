@@ -12,10 +12,9 @@ use rlb_transport::{
     CnpGenerator, DcqcnConfig, DcqcnRate, GbnReceiver, GbnSender, IrnReceiver, IrnSender,
 };
 use rlb_workloads::FlowSpec;
-use serde::Serialize;
 
 /// Which reliable-delivery scheme the NICs run (see `rlb-transport`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
     /// RoCEv2 go-back-N — the paper's lossless-DCN baseline (§2.1.2).
     GoBackN,

@@ -3,10 +3,9 @@
 //! (queue-evolution figures, pause-storm timelines).
 
 use rlb_engine::SimDuration;
-use serde::Serialize;
 
 /// Enables periodic sampling during a run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Sampling period. Each tick costs one event plus a scan over the
     /// switches, so keep it ≥ a few µs for long runs.
@@ -22,7 +21,7 @@ impl Default for MonitorConfig {
 }
 
 /// One fabric snapshot.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FabricSample {
     pub t_ps: u64,
     /// Total bytes in all switch shared buffers.
@@ -38,7 +37,7 @@ pub struct FabricSample {
 }
 
 /// The collected series with a few convenience reductions.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FabricTimeSeries {
     pub samples: Vec<FabricSample>,
 }

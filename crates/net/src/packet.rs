@@ -3,10 +3,8 @@
 //! Packets are plain 'Copy'-able values moved between `VecDeque`s; nothing
 //! in the hot path allocates per packet.
 
-use serde::Serialize;
-
 /// What kind of frame this is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// Application data (counted by PFC, subject to pausing and ECN).
     Data,
@@ -35,7 +33,7 @@ impl PacketKind {
 }
 
 /// One frame on the wire.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Packet {
     pub kind: PacketKind,
     /// Flow index into the simulation's flow table (unused for CNM).

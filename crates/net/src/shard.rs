@@ -71,7 +71,6 @@ struct Status {
 #[derive(Debug, Clone, Copy)]
 struct ShardOutcome {
     dispatched: u64,
-    busy_secs: f64,
     cross_msgs: u64,
     stalls: u64,
     windows: u64,
@@ -148,7 +147,6 @@ fn worker(
 
     let mut out = ShardOutcome {
         dispatched: 0,
-        busy_secs: 0.0,
         cross_msgs: 0,
         stalls: 0,
         windows: 0,
@@ -181,9 +179,7 @@ fn worker(
         match decision {
             Decision::Advance { end } => {
                 sim.fold_journal(None);
-                let t0 = std::time::Instant::now(); // lint:allow(wall-clock)
                 let d = sim.dispatch_window(end);
-                out.busy_secs += t0.elapsed().as_secs_f64();
                 out.dispatched += d;
                 out.windows += 1;
                 if d == 0 {
@@ -348,18 +344,6 @@ pub(crate) fn run_sharded(cfg: SimConfig, specs: Vec<FlowSpec>, shards: u16) -> 
         window_advances: outcomes[0].windows,
         cross_shard_messages: outcomes.iter().map(|o| o.cross_msgs).sum(),
         barrier_stalls: outcomes.iter().map(|o| o.stalls).sum(),
-        // Sum of per-shard dispatch throughputs over time actually spent
-        // dispatching (barrier waits excluded) — the scaling headline.
-        aggregate_events_per_sec: outcomes
-            .iter()
-            .map(|o| {
-                if o.busy_secs > 0.0 {
-                    o.dispatched as f64 / o.busy_secs
-                } else {
-                    0.0
-                }
-            })
-            .sum(),
     };
 
     RunResult {

@@ -174,12 +174,6 @@ pub struct PerfStats {
     /// shard only waited at the barrier. Deterministic: a function of the
     /// event timeline, not of thread scheduling.
     pub barrier_stalls: u64,
-    /// Sum over shards of per-shard dispatch throughput (events per second
-    /// of that shard's own busy time). On a single-core host this is the
-    /// honest aggregate-capacity figure: `events_per_sec` measures the
-    /// time-sliced wall clock, this measures what the shards would sustain
-    /// running truly in parallel.
-    pub aggregate_events_per_sec: f64,
 }
 
 /// Outcome of one run.
@@ -849,7 +843,6 @@ impl Simulation {
             window_advances: 0,
             cross_shard_messages: 0,
             barrier_stalls: 0,
-            aggregate_events_per_sec: eps,
         };
         let end_time = self.now();
         let groups: Vec<u64> = self.flows.iter().map(|f| f.spec.group).collect();

@@ -1,7 +1,7 @@
 //! On-disk scenario specs: a hand-rolled TOML-subset reader and writer.
 //!
-//! The vendored serde is a no-op stub, so — like `bench/src/json.rs` — this
-//! module parses its format by hand, deterministically, with byte-exact
+//! The workspace has no serialization crate, so — like `bench/src/json.rs` —
+//! this module parses its format by hand, deterministically, with byte-exact
 //! round-trips ([`ScenarioSpec::to_spec_text`] emits the canonical form that
 //! [`ScenarioSpec::parse`] reads back to an equal value).
 //!
@@ -30,7 +30,6 @@ use rlb_core::RlbConfig;
 use rlb_engine::{substream, SimDuration, SimTime};
 use rlb_lb::Scheme;
 use rlb_workloads::{incast, IncastConfig, LoadCurve, PairPolicy, PoissonTraffic, Workload};
-use serde::Serialize;
 
 /// A parse error with the span it points at. `Display` renders a caret
 /// frame; keep the fields public so tools can re-render.
@@ -68,7 +67,7 @@ impl std::fmt::Display for SpecError {
 
 /// One traffic component: Poisson arrivals of a named workload CDF at an
 /// offered load (permille of the healthy core capacity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadEntry {
     pub kind: Workload,
     pub load_permille: u32,
@@ -85,7 +84,7 @@ impl Default for WorkloadEntry {
 
 /// One `[[fault]]` table: either a single timed fault or a flap pattern
 /// that expands into down/up pairs at build time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEntry {
     At(TimedFault),
     Flap {
@@ -100,7 +99,7 @@ pub enum FaultEntry {
 
 /// Topology dimensions a spec may set; defaults mirror
 /// [`TopoConfig::default`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopoSpec {
     pub n_leaves: u32,
     pub n_spines: u32,
@@ -127,7 +126,7 @@ impl Default for TopoSpec {
 /// Optional `[incast]` section: a §4.3 fan-in burst layered over the
 /// workload mix (which then plays the role of background traffic).
 /// Defaults mirror [`crate::scenario::IncastScenarioConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IncastSpec {
     /// Responding servers per request (the fan-in degree).
     pub degree: u32,
@@ -152,7 +151,7 @@ impl Default for IncastSpec {
 
 /// A declarative scenario: topology + workload mix + fault timeline +
 /// load curve. Parsed from spec text, buildable into a [`Scenario`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioSpec {
     /// Display / job label ("scenario" if empty).
     pub name: String,
@@ -363,7 +362,7 @@ pub const SPEC_REFERENCE: &[SectionDoc] = &[
             },
             KeyDoc {
                 key: "link_delay_ps",
-                value: "integer, ps",
+                value: "integer ≥ 1, ps",
                 default: Some("2_000_000"),
                 example: "1_000_000",
                 doc: "One-way propagation delay of every link.",
@@ -376,7 +375,7 @@ pub const SPEC_REFERENCE: &[SectionDoc] = &[
         repeatable: false,
         doc: "Optional: layer a §4.3 fan-in burst train over the workload \
               mix (which then plays the role of background traffic). Flows \
-              replay the programmatic `incast_scenario` bit-exactly for \
+              replay the programmatic `Scenario::incast` bit-exactly for \
               the same seed.",
         keys: &[
             KeyDoc {
@@ -426,7 +425,7 @@ pub const SPEC_REFERENCE: &[SectionDoc] = &[
             },
             KeyDoc {
                 key: "load_permille",
-                value: "integer, ‰",
+                value: "integer 1–1000, ‰",
                 default: Some("500"),
                 example: "300",
                 doc: "Offered load as ‰ of the healthy core capacity; \
@@ -725,14 +724,14 @@ impl ScenarioSpec {
             link_delay_ps: self.topo.link_delay_ps,
             ..TopoConfig::default()
         };
+        // Traffic generation assumes a well-formed fabric (it samples
+        // inter-leaf host pairs), so reject a bad one before any flow.
+        topo.validate()?;
         let curve = LoadCurve::new(self.load_points.clone())?;
         let mut flows = Vec::new();
-        // Incast overlay first: same substream label as `incast_scenario`,
+        // Incast overlay first: same substream label as `Scenario::incast`,
         // so a spec-driven incast replays the programmatic one bit-exactly.
         if let Some(ic) = &self.incast {
-            if topo.n_leaves < 2 {
-                return Err("incast needs at least two leaves".to_string());
-            }
             if ic.degree > topo.n_hosts() - topo.hosts_per_leaf {
                 return Err(format!(
                     "incast degree {} exceeds the {} off-leaf hosts available",
@@ -754,8 +753,11 @@ impl ScenarioSpec {
             ));
         }
         for (i, wl) in self.workloads.iter().enumerate() {
-            if wl.load_permille == 0 {
-                return Err(format!("workload {i} has zero load"));
+            if wl.load_permille == 0 || wl.load_permille > 1000 {
+                return Err(format!(
+                    "workload {i} has load_permille {}; it must be in 1..=1000",
+                    wl.load_permille
+                ));
             }
             let traffic = PoissonTraffic::with_load(
                 wl.kind.cdf(),
@@ -786,7 +788,7 @@ impl ScenarioSpec {
         }
         faults.sort_by_key(|tf| tf.at);
         // The hard stop must outlast the incast burst train too, not just
-        // the Poisson arrival horizon (same 30× slack as `incast_scenario`).
+        // the Poisson arrival horizon (same 30× slack as `Scenario::incast`).
         let mut hard_stop = SimTime::ZERO + self.horizon.as_duration().mul_u64(25);
         if let Some(ic) = &self.incast {
             let burst_stop = SimTime::ZERO
@@ -1684,12 +1686,12 @@ load_permille = 200
 
     #[test]
     fn incast_spec_matches_programmatic_scenario() {
-        use crate::scenario::{incast_scenario, IncastScenarioConfig};
+        use crate::scenario::{IncastScenarioConfig, Scenario};
         let s = ScenarioSpec::parse(INCAST_EXAMPLE).unwrap();
         let sc = s.build().expect("builds");
-        // The overlay's flows must replay `incast_scenario`'s bit-exactly:
+        // The overlay's flows must replay `Scenario::incast`'s bit-exactly:
         // same substream label, same IncastConfig.
-        let reference = incast_scenario(
+        let reference = Scenario::incast(
             &IncastScenarioConfig {
                 topo: TopoConfig {
                     n_leaves: 4,
@@ -1726,6 +1728,32 @@ load_permille = 200
         s.incast.as_mut().unwrap().degree = 25;
         let e = s.build().unwrap_err();
         assert!(e.contains("exceeds the 24 off-leaf hosts"), "{e}");
+    }
+
+    /// Specs whose fabric no flow can cross (or no switch can hold) are
+    /// refused before any traffic is drawn: without the early check one
+    /// leaf spins forever looking for an inter-leaf pair, no hosts panics
+    /// the traffic generator and 100k hosts wraps the u16 port index.
+    #[test]
+    fn degenerate_fabrics_are_build_errors() {
+        let refused = |edit: fn(&mut TopoSpec), want: &str| {
+            let mut s = ScenarioSpec::default();
+            edit(&mut s.topo);
+            let e = s.build().expect_err("degenerate fabric must be refused");
+            assert!(e.contains(want), "want `{want}` in: {e}");
+        };
+        refused(|t| t.n_leaves = 1, "at least 2 leaves");
+        refused(|t| t.hosts_per_leaf = 0, "1 host per leaf");
+        refused(|t| t.hosts_per_leaf = 100_000, "100004 ports");
+        refused(|t| t.link_delay_ps = 0, "link delay must be positive");
+    }
+
+    #[test]
+    fn overfull_workload_load_is_a_build_error() {
+        let mut s = ScenarioSpec::default();
+        s.workloads[0].load_permille = 1500;
+        let e = s.build().unwrap_err();
+        assert!(e.contains("load_permille 1500"), "{e}");
     }
 
     // --- snapshot tests: malformed specs must render exactly these frames ---
@@ -1986,6 +2014,59 @@ load_permille = 200
                     .expect("canonical text must re-parse");
                 prop_assert_eq!(&spec, &back);
                 prop_assert_eq!(text, back.to_spec_text());
+            }
+        }
+    }
+
+    mod degenerate {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn zero_or(range: std::ops::RangeInclusive<u64>) -> BoxedStrategy<u64> {
+            prop_oneof![Just(0u64), range].boxed()
+        }
+
+        fn rate() -> BoxedStrategy<u64> {
+            zero_or(1_000_000_000..=100_000_000_000)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// `build()` never panics on a tiny or empty fabric, and every
+            /// scenario it accepts runs to its end. A one-responder incast
+            /// gives each accepted fabric a flow to carry, since Poisson
+            /// arrivals seldom land inside the 1 µs horizon.
+            #[test]
+            fn spec_builds_never_panic(
+                (nl, ns, hpl) in (0u32..=3, 0u32..=3, 0u32..=3),
+                rates in (rate(), rate()),
+                delay in zero_or(1..=10_000_000),
+                seed in any::<u64>(),
+            ) {
+                let spec = ScenarioSpec {
+                    seed,
+                    horizon: SimTime::from_us(1),
+                    incast: Some(IncastSpec {
+                        degree: 1,
+                        total_response_bytes: 4_000,
+                        requests: 1,
+                        request_interval: SimDuration::from_us(1),
+                    }),
+                    topo: TopoSpec {
+                        n_leaves: nl,
+                        n_spines: ns,
+                        hosts_per_leaf: hpl,
+                        link_rate_bps: rates.0,
+                        host_link_rate_bps: rates.1,
+                        link_delay_ps: delay,
+                    },
+                    ..ScenarioSpec::default()
+                };
+                if let Ok(sc) = spec.build() {
+                    let n_flows = sc.flows.len();
+                    let res = sc.run();
+                    prop_assert_eq!(res.records.len(), n_flows);
+                }
             }
         }
     }

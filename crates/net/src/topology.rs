@@ -15,10 +15,9 @@
 //! * **Host h**: a single port 0 ↔ its leaf.
 
 use crate::config::TopoConfig;
-use serde::Serialize;
 
 /// A node in the fabric. Encoded compactly for event payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Node {
     Host(u32),
     Leaf(u32),

@@ -5,11 +5,10 @@
 //! Tracing is opt-in per flow (`SimConfig::trace_flows`) because a full
 //! fabric trace would dwarf the simulation itself.
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One traced event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Sender NIC put the PSN on the wire.
     Sent,
@@ -31,7 +30,7 @@ pub enum TraceEvent {
 }
 
 /// A single log entry: when, which PSN, what happened.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceEntry {
     pub t_ps: u64,
     pub psn: u32,

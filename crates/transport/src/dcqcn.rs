@@ -16,11 +16,9 @@
 //! Everything here is a pure state machine over explicit timestamps
 //! (picoseconds), so the algorithm is unit-testable without a simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// DCQCN parameters. Defaults follow the DCQCN paper / Mellanox guidance,
 /// with the increase steps chosen for 40 Gbps links.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DcqcnConfig {
     /// Full line rate, the cap for the flow's sending rate (bits/sec).
     pub line_rate_bps: f64,
@@ -77,7 +75,7 @@ impl DcqcnConfig {
 }
 
 /// Reaction-point (sender) rate state for one flow.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DcqcnRate {
     cfg: DcqcnConfig,
     /// Current sending rate Rc (bits/sec).
@@ -184,7 +182,7 @@ impl DcqcnRate {
 }
 
 /// Notification-point CNP pacing: at most one CNP per flow per interval.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CnpGenerator {
     last_cnp_ps: Option<u64>,
     pub cnps_sent: u64,

@@ -7,10 +7,8 @@
 //! everything sent after the last in-order packet. These state machines are
 //! pure (no clocks, no I/O): the simulator drives them and owns pacing.
 
-use serde::Serialize;
-
 /// Sender-side go-back-N state for one flow (queue pair).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GbnSender {
     total_packets: u32,
     /// Next PSN to transmit (new or rewound).
@@ -133,7 +131,7 @@ impl GbnSender {
 }
 
 /// Receiver-side go-back-N state for one flow.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GbnReceiver {
     total_packets: u32,
     expected: u32,

@@ -18,7 +18,6 @@
 //!   packets by one BDP, retransmits selectively on NACK, and falls back
 //!   to a retransmission timeout when everything in flight was lost.
 
-use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Receiver feedback for one data packet.
@@ -34,7 +33,7 @@ pub struct IrnAck {
 }
 
 /// Receiver state: out-of-order arrivals are kept, not discarded.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IrnReceiver {
     total: u32,
     received: Vec<bool>,
@@ -95,7 +94,7 @@ impl IrnReceiver {
 }
 
 /// Sender state: selective retransmission under a BDP window.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IrnSender {
     total: u32,
     acked: Vec<bool>,

@@ -9,10 +9,9 @@
 //! inverse-transform with linear interpolation between control points.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-linear empirical CDF over flow sizes in bytes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SizeCdf {
     name: &'static str,
     /// (size_bytes, cumulative_probability), strictly increasing in both.
@@ -20,7 +19,7 @@ pub struct SizeCdf {
 }
 
 /// The four workloads of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     WebServer,
     CacheFollower,

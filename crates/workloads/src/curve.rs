@@ -7,14 +7,13 @@
 //! deterministic to re-parse.
 
 use rlb_engine::SimTime;
-use serde::Serialize;
 
 /// Piecewise-constant offered-load multiplier over time.
 ///
 /// Each point `(from, permille)` sets the multiplier from that instant
 /// until the next point; before the first point the multiplier is 1000
 /// (nominal). An empty curve is the flat nominal curve.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadCurve {
     points: Vec<(SimTime, u32)>,
 }

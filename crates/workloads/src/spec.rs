@@ -1,13 +1,11 @@
 //! The flow descriptor shared by all traffic generators.
 
 use rlb_engine::SimTime;
-use serde::Serialize;
 
 /// One application flow to inject into the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowSpec {
     /// Arrival time of the first byte at the sender NIC.
-    #[serde(skip)]
     pub start: SimTime,
     /// Source host index (fabric-wide host numbering).
     pub src_host: u32,

@@ -94,7 +94,7 @@ impl fmt::Display for Finding {
 }
 
 // ---------------------------------------------------------------------------
-// JSON report (hand-rolled: the vendored serde is a no-op stub)
+// JSON report (hand-rolled: the workspace has no serialization crate)
 // ---------------------------------------------------------------------------
 
 /// Escape a string for JSON output.

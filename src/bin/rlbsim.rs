@@ -28,9 +28,7 @@ use rlb::core::RlbConfig;
 use rlb::engine::{SimDuration, SimTime};
 use rlb::lb::Scheme;
 use rlb::metrics::{ms, pct, Table};
-use rlb::net::scenario::{
-    asymmetric_topo, incast_scenario, steady_state, IncastScenarioConfig, SteadyStateConfig,
-};
+use rlb::net::scenario::{asymmetric_topo, IncastScenarioConfig, Scenario, SteadyStateConfig};
 use rlb::net::{MonitorConfig, TopoConfig};
 use rlb::workloads::Workload;
 
@@ -109,7 +107,7 @@ fn main() {
     });
 
     let mut scenario = if let Some(degree) = args.value("--incast") {
-        incast_scenario(
+        Scenario::incast(
             &IncastScenarioConfig {
                 topo: topo.clone(),
                 degree: degree.parse().expect("bad --incast degree"),
@@ -123,7 +121,7 @@ fn main() {
             rlb,
         )
     } else {
-        steady_state(
+        Scenario::steady_state(
             &SteadyStateConfig {
                 topo: topo.clone(),
                 workload,
